@@ -1,27 +1,23 @@
-//! Fusion sweep: the recorded step plan + fused SIMD epilogues (DESIGN.md
-//! §14) versus the eager unfused trace, both with the dispatched SIMD
-//! backend on — so the A/B isolates what *fusion* buys on top of the PR-5
-//! vector kernels. Emits `BENCH_fuse.json` at the workspace root.
+//! Fusion sweep: the fused SIMD epilogues + hashed dropout (DESIGN.md §14)
+//! versus the unfused eager trace, both with the dispatched SIMD backend
+//! on — so the A/B isolates what *fusion* buys on top of the vector
+//! kernels. Both sides re-trace the graph every step, as the trainer does.
+//! Emits `BENCH_fuse.json` at the workspace root.
 //!
-//! Four views:
+//! Two views:
 //!
 //! - per-epilogue kernels: each fused op against the unfused chain it
-//!   replaces, traced eagerly on both sides;
-//! - plan capture vs replay: one forward trace recorded through the plan
-//!   recorder against one `StepPlan::replay` of the same graph (forward
-//!   only — the backward tape walk is identical either way);
+//!   replaces;
 //! - end-to-end train step (forward + backward + Adam) and full-ranking
-//!   inference, fused fast path vs `--no-fuse` eager;
-//! - the zero-allocation contract: replay must not allocate a single graph
-//!   node (the `tape.nodes_allocated` counter stays flat).
+//!   inference, fused fast path vs `--no-fuse`.
 //!
-//! Two floors are enforced here and by `scripts/ci.sh`: train step ≥ 1.25×
-//! over the unfused SIMD baseline, and zero nodes allocated per replay.
-//! The floor ratio comes from an *interleaved* A/B (short alternating
-//! chunks of each side) using min-of-rounds on both sides: background load
-//! on a small box only ever adds time, and sequential A-then-B blocks let
-//! a slow period land entirely on one side — interleaving + min makes the
-//! ratio stable where sequential medians swung 0.9×–1.4× run to run.
+//! One floor is enforced here and by `scripts/ci.sh`: train step ≥ 1.25×
+//! over the unfused SIMD baseline. The floor ratio comes from an
+//! *interleaved* A/B (short alternating chunks of each side) using
+//! min-of-rounds on both sides: background load on a small box only ever
+//! adds time, and sequential A-then-B blocks let a slow period land
+//! entirely on one side — interleaving + min makes the ratio stable where
+//! sequential medians swung 0.9×–1.4× run to run.
 //! For cross-PR context the report folds in the dispatched train-step and
 //! inference medians from `BENCH_simd.json` when that file is present.
 
@@ -31,7 +27,7 @@ use slime_bench::random_inputs;
 use slime_nn::{Module, TrainContext};
 use slime_tensor::optim::{Adam, Optimizer};
 use slime_tensor::simd::fuse;
-use slime_tensor::{fusion, ops, plan, simd, NdArray, Tensor};
+use slime_tensor::{fusion, ops, simd, NdArray, Tensor};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -159,91 +155,34 @@ fn measure_pair_interleaved(
     (Measurement::from_samples(sa), Measurement::from_samples(sb))
 }
 
-/// The train-step floor A/B: the `--no-fuse` eager baseline (re-trace every
-/// step, sequential dropout) against the fused fast path (capture once,
-/// replay the recorded graph, hashed dropout) — forward + backward + Adam
-/// on both sides, interleaved per [`measure_pair_interleaved`]. Also
-/// returns the zero-allocation count across warm replays.
-fn measure_train_pair() -> (Measurement, Measurement, u64) {
+/// The train-step floor A/B: the `--no-fuse` baseline (unfused chains,
+/// sequential dropout) against the fused fast path (fused epilogues, hashed
+/// dropout) — forward + backward + Adam on both sides, each re-tracing its
+/// graph every step, interleaved per [`measure_pair_interleaved`].
+fn measure_train_pair() -> (Measurement, Measurement) {
     let inputs = random_inputs(BATCH, N, VOCAB, 3);
     let targets: Vec<usize> = random_inputs(BATCH, 1, VOCAB, 4);
-
-    // Unfused eager side: traces with the gate off on every step.
-    let eager_model = model();
-    let mut eager_opt = Adam::new(eager_model.parameters(), 1e-3);
-    let mut eager_ctx = TrainContext::train(1);
-
-    // Fused side: capture once with the gate on, then replay — exactly what
-    // the trainer does after its first batch.
-    fuse::set_enabled(true);
-    let slime = model();
-    let mut opt = Adam::new(slime.parameters(), 1e-3);
-    let mut ctx = TrainContext::train(1);
-    plan::begin_capture(&inputs, &targets);
-    let repr = slime.user_repr(&inputs, BATCH, &mut ctx);
-    let loss = ops::cross_entropy(&slime.score_all(&repr), &targets);
-    let step_plan = plan::end_capture().expect("train step must be replayable");
-
-    // Zero-allocation contract, measured over real replays before timing.
-    let before = slime_tensor::nodes_allocated();
-    for _ in 0..3 {
-        step_plan
-            .replay(&inputs, &targets, Some(&mut ctx.rng))
-            .expect("replay");
-    }
-    let leaked = slime_tensor::nodes_allocated() - before;
-
-    let mut eager_step = || {
-        fuse::set_enabled(false);
-        eager_opt.zero_grad();
-        let repr = eager_model.user_repr(black_box(&inputs), BATCH, &mut eager_ctx);
-        let loss = ops::cross_entropy(&eager_model.score_all(&repr), &targets);
-        loss.backward();
-        eager_opt.step();
+    let step = |fused: bool| {
+        let slime = model();
+        let mut opt = Adam::new(slime.parameters(), 1e-3);
+        let mut ctx = TrainContext::train(1);
+        let (inputs, targets) = (&inputs, &targets);
+        move || {
+            fuse::set_enabled(fused);
+            opt.zero_grad();
+            let repr = slime.user_repr(black_box(inputs), BATCH, &mut ctx);
+            let loss = ops::cross_entropy(&slime.score_all(&repr), targets);
+            loss.backward();
+            opt.step();
+        }
     };
-    let mut replay_step = || {
-        fuse::set_enabled(true);
-        opt.zero_grad();
-        step_plan
-            .replay(black_box(&inputs), &targets, Some(&mut ctx.rng))
-            .expect("replay");
-        loss.backward();
-        opt.step();
-    };
+    let mut unfused_step = step(false);
+    let mut fused_step = step(true);
     for _ in 0..2 {
-        eager_step();
-        replay_step();
+        unfused_step();
+        fused_step();
     }
-    let (u, f) = measure_pair_interleaved(TRAIN_ROUNDS, TRAIN_ITERS, eager_step, replay_step);
-    (u, f, leaked)
-}
-
-/// Forward-only capture vs replay of the same step graph.
-fn measure_capture_vs_replay() -> (Measurement, Measurement) {
-    let inputs = random_inputs(BATCH, N, VOCAB, 5);
-    let targets: Vec<usize> = random_inputs(BATCH, 1, VOCAB, 6);
-    let slime = model();
-    let mut ctx = TrainContext::train(1);
-
-    let capture = measure_routine(SAMPLES, WARM_UP, MEASURE, || {
-        plan::begin_capture(black_box(&inputs), &targets);
-        let repr = slime.user_repr(&inputs, BATCH, &mut ctx);
-        let loss = ops::cross_entropy(&slime.score_all(&repr), &targets);
-        let p = plan::end_capture().expect("capture");
-        black_box((loss.item(), p.len()))
-    });
-
-    plan::begin_capture(&inputs, &targets);
-    let repr = slime.user_repr(&inputs, BATCH, &mut ctx);
-    let loss = ops::cross_entropy(&slime.score_all(&repr), &targets);
-    let step_plan = plan::end_capture().expect("capture");
-    let replay = measure_routine(SAMPLES, WARM_UP, MEASURE, || {
-        step_plan
-            .replay(black_box(&inputs), &targets, Some(&mut ctx.rng))
-            .expect("replay");
-        black_box(loss.item())
-    });
-    (capture, replay)
+    measure_pair_interleaved(TRAIN_ROUNDS, TRAIN_ITERS, unfused_step, fused_step)
 }
 
 fn measure_inference() -> Measurement {
@@ -307,16 +246,14 @@ fn main() {
     let gm_u = measure_gate_mix(false);
     let gm_f = measure_gate_mix(true);
 
-    // End-to-end: fuse off = eager unfused SIMD baseline; fuse on = fused
-    // epilogues + recorded-plan replay. The train pair interleaves its own
-    // A/B rounds (each closure sets the gate it needs).
-    let (train_u, train_f, leaked_nodes) = measure_train_pair();
+    // End-to-end: fuse off = unfused SIMD baseline; fuse on = fused
+    // epilogues + hashed dropout. The train pair interleaves its own A/B
+    // rounds (each closure sets the gate it needs).
+    let (train_u, train_f) = measure_train_pair();
     fuse::set_enabled(false);
     let infer_u = measure_inference();
     fuse::set_enabled(true);
     let infer_f = measure_inference();
-    let (capture, replay) = measure_capture_vs_replay();
-    let plan_stats = plan::stats();
 
     simd::set_enabled(simd_was);
     fuse::set_enabled(fuse_was);
@@ -326,15 +263,13 @@ fn main() {
     print_pair("gate_mix", &gm_u, &gm_f);
     print_pair("train_step", &train_u, &train_f);
     print_pair("full_ranking_inference", &infer_u, &infer_f);
-    print_pair("forward_capture_vs_replay", &capture, &replay);
-    println!("  nodes allocated across 3 replays: {leaked_nodes}");
 
     // Floor ratio from min-of-interleaved-rounds on each side — the
     // noise-robust estimator (see the header comment); medians above are
     // for the report only.
     let train_speedup = train_u.min.as_secs_f64() / train_f.min.as_secs_f64().max(1e-12);
     println!("  train_step floor ratio (min-of-rounds): {train_speedup:.2}x");
-    let floors_ok = train_speedup >= 1.25 && leaked_nodes == 0;
+    let floors_ok = train_speedup >= 1.25;
 
     let simd_report = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),
@@ -415,25 +350,10 @@ fn main() {
             ]),
         ),
         (
-            "plan",
-            slime_json::obj([
-                ("forward_capture", capture.to_json()),
-                ("forward_replay", replay.to_json()),
-                ("replay_speedup", Value::Float(ratio(&capture, &replay))),
-                ("captures", Value::Int(plan_stats.captures as i64)),
-                ("replays", Value::Int(plan_stats.replays as i64)),
-                (
-                    "nodes_allocated_across_replays",
-                    Value::Int(leaked_nodes as i64),
-                ),
-            ]),
-        ),
-        (
             "floors",
             slime_json::obj([
                 ("train_step_speedup_min", Value::Float(1.25)),
                 ("train_step_speedup", Value::Float(train_speedup)),
-                ("replay_nodes_allocated_max", Value::Int(0)),
                 ("passed", Value::Bool(floors_ok)),
             ]),
         ),
@@ -444,7 +364,6 @@ fn main() {
 
     assert!(
         floors_ok,
-        "fuse_sweep floors failed: train step {train_speedup:.2}x (need >= 1.25x) \
-         or replay allocated {leaked_nodes} nodes (need 0)"
+        "fuse_sweep floor failed: train step {train_speedup:.2}x (need >= 1.25x)"
     );
 }

@@ -87,9 +87,10 @@ pub fn usage() -> String {
      SLIME_SIMD=0); results are deterministic within each backend, but the\n\
      two backends may differ in the last float bits (FMA contraction and\n\
      vector-lane reduction order). --no-fuse (equivalently SLIME_FUSE=0)\n\
-     disables the fused forward epilogues and recorded step plans — the\n\
-     training fast path re-traces eagerly through unfused ops; results are\n\
-     deterministic under either setting.\n\
+     disables the fused forward epilogues and the hashed dropout sampler:\n\
+     training runs the unfused ops and draws dropout masks one element at\n\
+     a time. Masks differ between the two settings; results are\n\
+     deterministic under either.\n\
      \n\
      --retrieval picks the serving candidate generator: 'exact' scores the\n\
      whole catalog, 'two-stage' probes a k-means cell index and re-ranks\n\
@@ -209,7 +210,9 @@ fn load_model(dir: &str) -> Result<(SlimeConfig, Slime4Rec), ArgError> {
     let model = Slime4Rec::new(cfg.clone());
     let sd = StateDict::load(&weights_path)
         .map_err(|e| ArgError(format!("cannot read {}: {e}", weights_path.display())))?;
-    model.load_state_dict(&sd);
+    model
+        .try_load_state_dict(&sd)
+        .map_err(|e| ArgError(format!("bad checkpoint {}: {e}", weights_path.display())))?;
     Ok((cfg, model))
 }
 
@@ -683,6 +686,67 @@ mod tests {
         assert!(err.0.contains("unknown option --bogus"));
         let err = run(&argv("serve --model m --retrieval fuzzy")).unwrap_err();
         assert!(err.0.contains("unknown mode"));
+    }
+
+    #[test]
+    fn corrupt_checkpoints_are_errors_not_panics() {
+        let dir = std::env::temp_dir().join(format!("slime_cli_ckpt_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let write_model = |name: &str, cfg: &SlimeConfig, weights: &str| {
+            let d = dir.join(name);
+            std::fs::create_dir_all(&d).unwrap();
+            std::fs::write(d.join("config.json"), slime_json::to_string_pretty(cfg)).unwrap();
+            std::fs::write(d.join("weights.json"), weights).unwrap();
+            d.display().to_string()
+        };
+        let data = dir.join("data.json").display().to_string();
+        run(&argv(&format!(
+            "generate --profile beauty --scale 0.05 --seed 3 --out {data}"
+        )))
+        .unwrap();
+        let mut cfg = SlimeConfig::small(load_dataset(&data).unwrap().num_items());
+        cfg.hidden = 16;
+        cfg.max_len = 8;
+        cfg.layers = 1;
+        let weights = slime_json::to_string(&Slime4Rec::new(cfg.clone()).state_dict());
+        let good = write_model("good", &cfg, &weights);
+        assert!(load_model(&good).is_ok());
+
+        // One record's shape no longer matches its own data.
+        assert!(weights.contains(r#""shape":[16]"#));
+        let bad_record = weights.replacen(r#""shape":[16]"#, r#""shape":[17]"#, 1);
+        let deeper = SlimeConfig {
+            layers: 2,
+            ..cfg.clone()
+        };
+        let wider = SlimeConfig {
+            hidden: 32,
+            ..cfg.clone()
+        };
+        for (dir, want) in [
+            (
+                write_model("bad_record", &cfg, &bad_record),
+                "does not match data length",
+            ),
+            (
+                write_model("missing", &deeper, &weights),
+                "missing parameter",
+            ),
+            (write_model("misshaped", &wider, &weights), "model expects"),
+        ] {
+            let Err(err) = load_model(&dir) else {
+                panic!("{dir}: corrupt checkpoint loaded");
+            };
+            assert!(err.0.contains(want), "{dir}: {}", err.0);
+            for cmd in [
+                format!("recommend --data {data} --model {dir} --user 0 --k 3"),
+                format!("serve --model {dir} --port 0 --smoke 8"),
+            ] {
+                let err = run(&argv(&cmd)).unwrap_err();
+                assert!(err.0.contains(want), "{cmd}: {}", err.0);
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

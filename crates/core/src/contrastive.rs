@@ -88,18 +88,6 @@ fn info_nce_impl(h1: &Tensor, h2: &Tensor, temperature: f32, targets: Option<&[u
 
     let n = 2 * b;
     let mask_t = Tensor::constant(NdArray::from_vec(vec![n, n], pair_mask(b, targets)));
-    // The mask is the one leaf created mid-step on the SLIME path: bind a
-    // rebuild closure so recorded step plans can refresh it from the fresh
-    // targets on replay (it is a pure function of `b` and the targets).
-    if slime_tensor::plan::capturing() {
-        let masked = targets.is_some();
-        slime_tensor::plan::bind_leaf(
-            &mask_t,
-            Box::new(move |_inputs, t| {
-                NdArray::from_vec(vec![n, n], pair_mask(b, masked.then_some(t)))
-            }),
-        );
-    }
     let logits = ops::add(&sim, &mask_t);
 
     // Row i's positive is its partner view.

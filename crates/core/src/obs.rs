@@ -39,12 +39,6 @@ pub fn publish_runtime_gauges() {
         slime_tensor::simd::avx2_fma_detected() as u8 as f64,
     );
 
-    // Step-plan reuse: captures should stay O(epochs), replays O(steps),
-    // and nodes_allocated flat across replayed steps (DESIGN.md §14).
-    let plan = slime_tensor::plan::stats();
-    gauge_set("plan.captures", plan.captures as f64);
-    gauge_set("plan.replays", plan.replays as f64);
-    gauge_set("plan.invalidations", plan.invalidations as f64);
     gauge_set(
         "tape.nodes_allocated",
         slime_tensor::nodes_allocated() as f64,
@@ -73,9 +67,6 @@ mod tests {
             "par.chunks_executed",
             "fft.plan_hits",
             "simd.backend",
-            "plan.captures",
-            "plan.replays",
-            "plan.invalidations",
             "tape.nodes_allocated",
         ] {
             assert!(snap.gauges.contains_key(key), "missing gauge {key}");

@@ -8,7 +8,7 @@ use slime_nn::TrainContext;
 use slime_rng::rngs::StdRng;
 use slime_rng::SeedableRng;
 use slime_tensor::optim::{Adam, Optimizer};
-use slime_tensor::{ops, StateDict, Tensor};
+use slime_tensor::{ops, StateDict};
 use slime_trace::{event, span};
 
 use crate::config::{ContrastiveMode, SlimeConfig, TrainConfig};
@@ -84,16 +84,6 @@ pub enum ViewStrategy<'a> {
     Supervised(&'a SameTargetIndex),
 }
 
-/// A captured step plan plus the loss handles of its persistent graph: on
-/// replay, the step's values refresh in place and these same tensors carry
-/// the new losses (see DESIGN.md §14).
-struct PlanState {
-    plan: slime_tensor::plan::StepPlan,
-    rec_loss: Tensor,
-    cl: Option<Tensor>,
-    loss: Tensor,
-}
-
 /// Generic next-item training loop with optional contrastive
 /// regularization: `loss = CE(scores, target) + lambda * InfoNCE(view1, view2)`
 /// (paper Eq. 36).
@@ -124,16 +114,6 @@ pub fn train_model<M: NextItemModel>(
     let mut ctx = TrainContext::train(tc.seed);
     let n = model.max_len();
 
-    // Recorded step plans: capture the first step's graph, replay it on
-    // every following same-shape step (DESIGN.md §14). Gated with fusion
-    // behind `--no-fuse` / `SLIME_FUSE` — one switch for the whole fast
-    // path. The supervised strategy samples partner sequences per step
-    // (fresh index buffers the plan cannot rebind), so it always re-traces.
-    let plan_allowed = slime_tensor::simd::fuse::enabled()
-        && matches!(strategy, ViewStrategy::None | ViewStrategy::Unsupervised);
-    let mut plan_state: Option<PlanState> = None;
-    let mut plan_broken = false;
-
     let mut report = TrainReport {
         epoch_losses: Vec::with_capacity(tc.epochs),
         valid_history: Vec::new(),
@@ -155,80 +135,31 @@ pub fn train_model<M: NextItemModel>(
             let step_start = slime_trace::enabled().then(std::time::Instant::now);
             opt.zero_grad();
 
-            // Fast path: replay the captured plan in place when the step
-            // shape matches. A mismatch (last partial batch) discards the
-            // plan — the next eager step re-captures at the new shape.
-            let mut replayed = false;
-            if plan_allowed && !plan_broken {
-                if let Some(ps) = plan_state.take() {
-                    if ps.plan.matches(&batch.inputs, &batch.targets) {
-                        match ps
-                            .plan
-                            .replay(&batch.inputs, &batch.targets, Some(&mut ctx.rng))
-                        {
-                            Ok(()) => {
-                                replayed = true;
-                                plan_state = Some(ps);
-                            }
-                            // An op refused to replay after a successful
-                            // capture: eager tracing for the rest of the run.
-                            Err(_) => plan_broken = true,
-                        }
-                    } else {
-                        slime_tensor::plan::note_invalidation();
-                    }
+            let repr = model.user_repr(&batch.inputs, batch.batch, &mut ctx);
+            let logits = model.score_all(&repr);
+            let rec_loss = ops::cross_entropy(&logits, &batch.targets);
+            let (cl, loss) = match (&strategy, batch.batch >= 2 && lambda > 0.0) {
+                (ViewStrategy::None, _) | (_, false) => (None, rec_loss.clone()),
+                (ViewStrategy::Unsupervised, true) => {
+                    let view2 = model.user_repr(&batch.inputs, batch.batch, &mut ctx);
+                    let cl = info_nce_with_targets(&repr, &view2, &batch.targets, temperature);
+                    let loss = ops::add(&rec_loss, &ops::scale(&cl, lambda));
+                    (Some(cl), loss)
                 }
-            }
-            let (rec_loss, cl, loss) = if replayed {
-                let ps = plan_state.as_ref().expect("replayed from a live plan");
-                (ps.rec_loss.clone(), ps.cl.clone(), ps.loss.clone())
-            } else {
-                let capturing = plan_allowed && !plan_broken;
-                if capturing {
-                    slime_tensor::plan::begin_capture(&batch.inputs, &batch.targets);
+                (ViewStrategy::Supervised(index), true) => {
+                    let partner_ids: Vec<usize> = batch
+                        .example_ids
+                        .iter()
+                        .map(|&i| index.sample_positive(ts, i, &mut ctx.rng))
+                        .collect();
+                    let partner = ts.make_batch(&partner_ids, n);
+                    let view2 = model.user_repr(&partner.inputs, partner.batch, &mut ctx);
+                    // Partner sequences share the anchor's target by
+                    // construction, so use target-masked InfoNCE.
+                    let cl = info_nce_with_targets(&repr, &view2, &batch.targets, temperature);
+                    let loss = ops::add(&rec_loss, &ops::scale(&cl, lambda));
+                    (Some(cl), loss)
                 }
-                let repr = model.user_repr(&batch.inputs, batch.batch, &mut ctx);
-                let logits = model.score_all(&repr);
-                let rec_loss = ops::cross_entropy(&logits, &batch.targets);
-                let (cl, loss) = match (&strategy, batch.batch >= 2 && lambda > 0.0) {
-                    (ViewStrategy::None, _) | (_, false) => (None, rec_loss.clone()),
-                    (ViewStrategy::Unsupervised, true) => {
-                        let view2 = model.user_repr(&batch.inputs, batch.batch, &mut ctx);
-                        let cl = info_nce_with_targets(&repr, &view2, &batch.targets, temperature);
-                        let loss = ops::add(&rec_loss, &ops::scale(&cl, lambda));
-                        (Some(cl), loss)
-                    }
-                    (ViewStrategy::Supervised(index), true) => {
-                        let partner_ids: Vec<usize> = batch
-                            .example_ids
-                            .iter()
-                            .map(|&i| index.sample_positive(ts, i, &mut ctx.rng))
-                            .collect();
-                        let partner = ts.make_batch(&partner_ids, n);
-                        let view2 = model.user_repr(&partner.inputs, partner.batch, &mut ctx);
-                        // Partner sequences share the anchor's target by
-                        // construction, so use target-masked InfoNCE.
-                        let cl = info_nce_with_targets(&repr, &view2, &batch.targets, temperature);
-                        let loss = ops::add(&rec_loss, &ops::scale(&cl, lambda));
-                        (Some(cl), loss)
-                    }
-                };
-                if capturing {
-                    match slime_tensor::plan::end_capture() {
-                        Ok(plan) => {
-                            plan_state = Some(PlanState {
-                                plan,
-                                rec_loss: rec_loss.clone(),
-                                cl: cl.clone(),
-                                loss: loss.clone(),
-                            });
-                        }
-                        // An unreplayable op (baseline-only ops, per-step
-                        // noise leaves): eager tracing from here on.
-                        Err(_) => plan_broken = true,
-                    }
-                }
-                (rec_loss, cl, loss)
             };
             rec_total += rec_loss.item() as f64;
             if let Some(cl) = &cl {

@@ -18,13 +18,11 @@
 //! function of the input values — so threads × pool sweeps must stay
 //! bitwise stable under both.
 //!
-//! The fuse dimension (fused epilogues + recorded step plans, DESIGN.md
-//! §14) sits inside the matrix the same way: the fused fast path uses the
+//! The fuse dimension (fused epilogues + hashed dropout, DESIGN.md §14)
+//! sits inside the matrix the same way: the fused fast path uses the
 //! hashed dropout sampler, so fuse on/off are two (equally deterministic)
 //! training runs — but within each fuse×SIMD configuration, threads × pool
-//! sweeps must stay bitwise identical, and plan replay must be bitwise
-//! identical to the eager trace it stands in for (pinned end to end in
-//! `tests/step_plan.rs`).
+//! sweeps must stay bitwise identical.
 
 use std::sync::Mutex;
 

@@ -110,15 +110,15 @@ pub fn backend() -> Backend {
 }
 
 /// The workspace-wide `SLIME_FUSE` gate: one switch for the fused SIMD
-/// epilogues (bias+gelu, add+layernorm, filter×gate) *and* the recorded
-/// step-plan replay in `slime-tensor`. Lives next to the `SLIME_SIMD` gate
+/// epilogues (bias+gelu, add+layernorm, filter×gate) *and* the hashed
+/// dropout sampler in `slime-tensor`. Lives next to the `SLIME_SIMD` gate
 /// because it is the same kind of control plane: a tri-state flag resolved
 /// lazily from the environment, overridable at runtime (`--no-fuse`).
 ///
-/// Fusion is a pure throughput knob within a backend: every fused kernel
-/// computes the exact per-element expressions of the unfused composition it
-/// replaces, in the same accumulation order, so flipping the gate never
-/// changes values (see DESIGN.md §14 "Fusion legality").
+/// The gate selects a numeric variant: the fused kernels compute the
+/// per-element expressions of the unfused compositions they replace, but
+/// the hashed sampler draws different dropout masks than the sequential
+/// one, so fuse on/off are two equally deterministic runs (DESIGN.md §14).
 pub mod fuse {
     use std::sync::atomic::{AtomicU8, Ordering};
 

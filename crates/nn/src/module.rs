@@ -99,12 +99,31 @@ pub trait Module {
 
     /// Load all parameters from a [`StateDict`] (names and shapes must
     /// match).
+    ///
+    /// # Panics
+    /// Panics on a missing or mis-shaped parameter; see
+    /// [`Module::try_load_state_dict`].
     fn load_state_dict(&self, sd: &StateDict) {
         let mut c = ParamCollector::new();
         self.collect(&mut c);
         for (name, t) in c.entries() {
             sd.load_into(name, t);
         }
+    }
+
+    /// [`Module::load_state_dict`] for untrusted checkpoints: every name and
+    /// shape is checked before any parameter changes, and the first missing
+    /// or mis-shaped parameter is returned as an error.
+    fn try_load_state_dict(&self, sd: &StateDict) -> Result<(), String> {
+        let mut c = ParamCollector::new();
+        self.collect(&mut c);
+        for (name, t) in c.entries() {
+            sd.check(name, t)?;
+        }
+        for (name, t) in c.entries() {
+            sd.load_into(name, t);
+        }
+        Ok(())
     }
 
     /// Total number of scalar parameters.

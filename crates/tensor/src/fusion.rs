@@ -29,14 +29,9 @@
 //! See DESIGN.md §14.
 //!
 //! Callers gate on [`crate::simd::fuse::enabled`] (`SLIME_FUSE` /
-//! `--no-fuse`) and fall back to the unfused chain when it is off. All three
-//! ops implement `Op::replay`, so fused steps participate in recorded step
-//! plans.
-
-use std::cell::RefCell;
+//! `--no-fuse`) and fall back to the unfused chain when it is off.
 
 use crate::ndarray::NdArray;
-use crate::plan::ReplayCtx;
 use crate::tensor::{Op, Tensor};
 
 /// Fused `gelu(x·W + b)` for `x [m,k]`, `w [k,n]`, `bias [n]`.
@@ -55,11 +50,11 @@ pub fn matmul_bias_gelu(x: &Tensor, w: &Tensor, bias: &Tensor) -> Tensor {
     Tensor::from_op(
         out,
         vec![x.clone(), w.clone(), bias.clone()],
-        Box::new(MatmulBiasGeluOp { z: RefCell::new(z) }),
+        Box::new(MatmulBiasGeluOp { z }),
     )
 }
 
-/// Shared forward body: returns `(gelu(z), z)` with `z = x·W + b`.
+/// Forward body: returns `(gelu(z), z)` with `z = x·W + b`.
 fn matmul_bias_gelu_fwd(x: &NdArray, w: &NdArray, bias: &NdArray) -> (NdArray, NdArray) {
     let n = bias.len();
     let mut pre = x.matmul2d(w);
@@ -85,13 +80,13 @@ fn matmul_bias_gelu_fwd(x: &NdArray, w: &NdArray, bias: &NdArray) -> (NdArray, N
 }
 
 struct MatmulBiasGeluOp {
-    /// Pre-activation `z = x·W + b`, refreshed in place on plan replay.
-    z: RefCell<NdArray>,
+    /// Pre-activation `z = x·W + b`.
+    z: NdArray,
 }
 
 impl Op for MatmulBiasGeluOp {
     fn backward(&self, grad: &NdArray, parents: &[Tensor]) -> Vec<Option<NdArray>> {
-        let z = self.z.borrow();
+        let z = &self.z;
         let shape = z.shape().to_vec();
         let n = shape[1];
         let rows = shape[0];
@@ -118,16 +113,6 @@ impl Op for MatmulBiasGeluOp {
     fn name(&self) -> &'static str {
         "matmul_bias_gelu"
     }
-    fn replayable(&self) -> bool {
-        true
-    }
-    fn replay(&self, parents: &[Tensor], _ctx: &mut ReplayCtx) -> Option<NdArray> {
-        let _prof = super::ops::fwd_prof("matmul_bias_gelu", parents[0].len());
-        let (out, z) =
-            matmul_bias_gelu_fwd(&parents[0].data(), &parents[1].data(), &parents[2].data());
-        *self.z.borrow_mut() = z;
-        Some(out)
-    }
 }
 
 /// Fused residual layer norm `LN(a + b)` over the last dimension
@@ -148,15 +133,11 @@ pub fn add_layer_norm(a: &Tensor, b: &Tensor, gamma: &Tensor, beta: &Tensor, eps
     Tensor::from_op(
         out,
         vec![a.clone(), b.clone(), gamma.clone(), beta.clone()],
-        Box::new(AddLayerNormOp {
-            xhat: RefCell::new(xhat),
-            inv_std: RefCell::new(inv_std),
-            eps,
-        }),
+        Box::new(AddLayerNormOp { xhat, inv_std }),
     )
 }
 
-/// Shared forward body: returns `(out, xhat, inv_std)`.
+/// Forward body: returns `(out, xhat, inv_std)`.
 fn add_layer_norm_fwd(
     a: &NdArray,
     b: &NdArray,
@@ -205,9 +186,8 @@ fn add_layer_norm_fwd(
 }
 
 struct AddLayerNormOp {
-    xhat: RefCell<NdArray>,
-    inv_std: RefCell<Vec<f32>>,
-    eps: f32,
+    xhat: NdArray,
+    inv_std: Vec<f32>,
 }
 
 impl Op for AddLayerNormOp {
@@ -216,8 +196,7 @@ impl Op for AddLayerNormOp {
         // gradient then flows unchanged to both addends.
         let gamma = parents[2].data();
         let d = gamma.len();
-        let xhat = self.xhat.borrow();
-        let inv_std = self.inv_std.borrow();
+        let (xhat, inv_std) = (&self.xhat, &self.inv_std);
         let rows = xhat.len() / d;
         let xh = xhat.data();
         let g = grad.data();
@@ -256,24 +235,6 @@ impl Op for AddLayerNormOp {
     fn name(&self) -> &'static str {
         "add_layer_norm"
     }
-    fn replayable(&self) -> bool {
-        true
-    }
-    fn replay(&self, parents: &[Tensor], _ctx: &mut ReplayCtx) -> Option<NdArray> {
-        let _prof = super::ops::fwd_prof("add_layer_norm", parents[0].len());
-        let d = parents[2].len();
-        let (out, xhat, inv_std) = add_layer_norm_fwd(
-            &parents[0].data(),
-            &parents[1].data(),
-            &parents[2].data(),
-            &parents[3].data(),
-            self.eps,
-            d,
-        );
-        *self.xhat.borrow_mut() = xhat;
-        *self.inv_std.borrow_mut() = inv_std;
-        Some(out)
-    }
 }
 
 /// Fused slide-filter gate `yd·(1-g) + ys·g` for same-shape `yd`/`ys` and a
@@ -293,7 +254,7 @@ pub fn gate_mix(yd: &Tensor, ys: &Tensor, g: &Tensor) -> Tensor {
     )
 }
 
-/// Shared forward body. `1 - g` is computed as `g * -1.0 + 1.0`, the exact
+/// Forward body. `1 - g` is computed as `g * -1.0 + 1.0`, the exact
 /// expression of the unfused neg → add_scalar chain.
 fn gate_mix_fwd(yd: &NdArray, ys: &NdArray, g: &NdArray) -> NdArray {
     let gv = g.scalar_value();
@@ -332,17 +293,6 @@ impl Op for GateMixOp {
     }
     fn name(&self) -> &'static str {
         "gate_mix"
-    }
-    fn replayable(&self) -> bool {
-        true
-    }
-    fn replay(&self, parents: &[Tensor], _ctx: &mut ReplayCtx) -> Option<NdArray> {
-        let _prof = super::ops::fwd_prof("gate_mix", parents[0].len());
-        Some(gate_mix_fwd(
-            &parents[0].data(),
-            &parents[1].data(),
-            &parents[2].data(),
-        ))
     }
 }
 

@@ -28,7 +28,6 @@ pub mod init;
 mod ndarray;
 pub mod ops;
 pub mod optim;
-pub mod plan;
 pub mod pool;
 pub mod quant;
 pub mod serialize;

@@ -22,9 +22,6 @@ use crate::tensor::{Op, Tensor};
 /// * **sequential** (`--no-fuse`): the historical draw-per-element walk,
 ///   kept bit-exact so the escape hatch reproduces pre-fusion results.
 ///
-/// The sampler is fixed at construction, so a step plan replays whichever
-/// sampler traced the capture step regardless of the current gate.
-///
 /// Callers implement eval mode by *not* applying dropout (there is no
 /// internal training flag).
 pub fn dropout(x: &Tensor, p: f32, rng: &mut impl Rng) -> Tensor {
@@ -36,95 +33,43 @@ pub fn dropout(x: &Tensor, p: f32, rng: &mut impl Rng) -> Tensor {
     }
     let keep = 1.0 - p;
     let scale = 1.0 / keep;
-    let hashed = crate::simd::fuse::enabled();
     let data = x.data();
     let src = data.data();
+    // One pass writing `mask` (0 or `scale`) and `out = src * mask`.
     let mut mask = crate::pool::take_filled(x.len(), 0.0);
     let mut out = crate::pool::take_filled(x.len(), 0.0);
-    fill_masked(hashed, keep, scale, rng, src, &mut mask, &mut out);
+    if crate::simd::fuse::enabled() {
+        let seed = rng.gen::<u64>();
+        (crate::simd::kernels().dropout_mask)(seed, keep, scale, src, &mut mask, &mut out);
+    } else {
+        for ((m, o), &v) in mask.iter_mut().zip(out.iter_mut()).zip(src) {
+            if rng.gen::<f32>() < keep {
+                *m = scale;
+                *o = v * scale;
+            }
+        }
+    }
     let shape = x.shape();
     drop(data);
     Tensor::from_op(
         NdArray::from_vec(shape.clone(), out),
         vec![x.clone()],
         Box::new(DropoutOp {
-            keep,
-            scale,
-            hashed,
-            mask: std::cell::RefCell::new(NdArray::from_vec(shape, mask)),
+            mask: NdArray::from_vec(shape, mask),
         }),
     )
 }
 
-/// Shared mask body: one pass writing `mask` (0 or `scale`) and
-/// `out = src * mask`, consuming `rng` per the selected sampler.
-fn fill_masked(
-    hashed: bool,
-    keep: f32,
-    scale: f32,
-    rng: &mut impl Rng,
-    src: &[f32],
-    mask: &mut [f32],
-    out: &mut [f32],
-) {
-    debug_assert!(
-        mask.len() == src.len() && out.len() == src.len(),
-        "mask and out match the source length"
-    );
-    if hashed {
-        let seed = rng.gen::<u64>();
-        (crate::simd::kernels().dropout_mask)(seed, keep, scale, src, mask, out);
-    } else {
-        for i in 0..src.len() {
-            if rng.gen::<f32>() < keep {
-                mask[i] = scale;
-                out[i] = src[i] * scale;
-            }
-        }
-    }
-}
-
 struct DropoutOp {
-    keep: f32,
-    scale: f32,
-    hashed: bool,
-    mask: std::cell::RefCell<NdArray>,
+    mask: NdArray,
 }
 
 impl Op for DropoutOp {
     fn backward(&self, grad: &NdArray, _parents: &[Tensor]) -> Vec<Option<NdArray>> {
-        vec![Some(grad.zip_map(&self.mask.borrow(), |g, m| g * m))]
+        vec![Some(grad.zip_map(&self.mask, |g, m| g * m))]
     }
     fn name(&self) -> &'static str {
         "dropout"
-    }
-    fn replayable(&self) -> bool {
-        true
-    }
-    // Re-draw the mask from the replay RNG with the exact sampler the eager
-    // constructor ran, so a replayed step consumes the same draw sequence
-    // (and produces the same mask) as re-tracing would.
-    fn replay(&self, parents: &[Tensor], ctx: &mut crate::plan::ReplayCtx) -> Option<NdArray> {
-        let _prof = super::fwd_prof("dropout", parents[0].len());
-        debug_assert_eq!(parents.len(), 1, "dropout has one parent");
-        let rng = ctx.rng.as_deref_mut()?;
-        let data = parents[0].data();
-        let src = data.data();
-        let mut mask = crate::pool::take_filled(src.len(), 0.0);
-        let mut out = crate::pool::take_filled(src.len(), 0.0);
-        fill_masked(
-            self.hashed,
-            self.keep,
-            self.scale,
-            rng,
-            src,
-            &mut mask,
-            &mut out,
-        );
-        let shape = data.shape().to_vec();
-        drop(data);
-        *self.mask.borrow_mut() = NdArray::from_vec(shape.clone(), mask);
-        Some(NdArray::from_vec(shape, out))
     }
 }
 
@@ -134,6 +79,12 @@ mod tests {
     use crate::ops::sum_all;
     use slime_rng::rngs::StdRng;
     use slime_rng::SeedableRng;
+    use std::sync::Mutex;
+
+    /// Serializes the tests that flip the process-global fuse gate: test
+    /// threads share it, so one test's flip would switch another's sampler
+    /// mid-test.
+    static FUSE_GATE: Mutex<()> = Mutex::new(());
 
     #[test]
     fn zero_p_is_identity() {
@@ -173,6 +124,7 @@ mod tests {
 
     #[test]
     fn hashed_sampler_preserves_expectation_and_seed_determinism() {
+        let _gate = FUSE_GATE.lock().unwrap_or_else(|e| e.into_inner());
         let was = crate::simd::fuse::enabled();
         crate::simd::fuse::set_enabled(true);
         let x = Tensor::constant(NdArray::ones(vec![10_000]));
@@ -194,6 +146,7 @@ mod tests {
     fn samplers_follow_the_fuse_gate() {
         // Sequential consumes one draw per element; hashed consumes one u64
         // (two PCG outputs) total — observable through the rng state.
+        let _gate = FUSE_GATE.lock().unwrap_or_else(|e| e.into_inner());
         let was = crate::simd::fuse::enabled();
         let x = Tensor::constant(NdArray::ones(vec![100]));
         crate::simd::fuse::set_enabled(false);

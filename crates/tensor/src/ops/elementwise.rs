@@ -1,9 +1,8 @@
 //! Elementwise arithmetic and activation ops (with NumPy broadcasting for
 //! the binary ones).
 
-use super::{assert_broadcastable, unary, unary_replayable};
+use super::{assert_broadcastable, unary};
 use crate::ndarray::NdArray;
-use crate::plan::ReplayCtx;
 use crate::tensor::{Op, Tensor};
 
 /// Same-shape binary fast path through the SIMD dispatch table; mismatched
@@ -85,19 +84,6 @@ impl Op for AddOp {
     fn name(&self) -> &'static str {
         "add"
     }
-    fn replayable(&self) -> bool {
-        true
-    }
-    fn replay(&self, parents: &[Tensor], _ctx: &mut ReplayCtx) -> Option<NdArray> {
-        debug_assert_eq!(parents.len(), 2, "add/sub has two parents");
-        let k = crate::simd::kernels();
-        let (a, b) = (parents[0].data(), parents[1].data());
-        Some(if self.sign < 0.0 {
-            binary_dispatch(&a, &b, k.sub, |x, y| x - y)
-        } else {
-            binary_dispatch(&a, &b, k.add, |x, y| x + y)
-        })
-    }
 }
 
 /// `a * b` elementwise with broadcasting.
@@ -109,8 +95,7 @@ pub fn mul(a: &Tensor, b: &Tensor) -> Tensor {
     Tensor::from_op(out, vec![a.clone(), b.clone()], Box::new(MulOp))
 }
 
-/// Stateless: backward reads the parents' *current* values, so it stays
-/// correct after a step-plan replay refreshes them in place.
+/// Stateless: backward reads the operands from the parent tensors.
 struct MulOp;
 
 impl Op for MulOp {
@@ -125,18 +110,6 @@ impl Op for MulOp {
     fn name(&self) -> &'static str {
         "mul"
     }
-    fn replayable(&self) -> bool {
-        true
-    }
-    fn replay(&self, parents: &[Tensor], _ctx: &mut ReplayCtx) -> Option<NdArray> {
-        debug_assert_eq!(parents.len(), 2, "mul has two parents");
-        Some(binary_dispatch(
-            &parents[0].data(),
-            &parents[1].data(),
-            crate::simd::kernels().mul,
-            |x, y| x * y,
-        ))
-    }
 }
 
 /// `-a`.
@@ -147,30 +120,15 @@ pub fn neg(a: &Tensor) -> Tensor {
 /// `c * a` for a constant scalar `c`.
 pub fn scale(a: &Tensor, c: f32) -> Tensor {
     let out = scale_arr(&a.data(), c);
-    unary_replayable(
-        "scale",
-        a,
-        out,
-        NdArray::scalar(c),
-        |g, saved| scale_arr(g, saved.scalar_value()),
-        Box::new(|x, saved| (scale_arr(x, saved.scalar_value()), saved.clone())),
-    )
+    unary("scale", a, out, NdArray::scalar(c), |g, saved| {
+        scale_arr(g, saved.scalar_value())
+    })
 }
 
 /// `a + c` for a constant scalar `c`.
 pub fn add_scalar(a: &Tensor, c: f32) -> Tensor {
     let out = a.data().map(|v| v + c);
-    unary_replayable(
-        "add_scalar",
-        a,
-        out,
-        NdArray::scalar(c),
-        |g, _| g.clone(),
-        Box::new(|x, saved| {
-            let c = saved.scalar_value();
-            (x.map(|v| v + c), saved.clone())
-        }),
-    )
+    unary("add_scalar", a, out, NdArray::scalar(c), |g, _| g.clone())
 }
 
 /// `exp(a)`.
@@ -193,47 +151,26 @@ pub fn log(a: &Tensor) -> Tensor {
 pub fn sigmoid(a: &Tensor) -> Tensor {
     let out = a.data().map(|v| 1.0 / (1.0 + (-v).exp()));
     let saved = out.clone();
-    unary_replayable(
-        "sigmoid",
-        a,
-        out,
-        saved,
-        |g, y| g.zip_map(y, |g, y| g * y * (1.0 - y)),
-        Box::new(|x, _| {
-            let out = x.map(|v| 1.0 / (1.0 + (-v).exp()));
-            (out.clone(), out)
-        }),
-    )
+    unary("sigmoid", a, out, saved, |g, y| {
+        g.zip_map(y, |g, y| g * y * (1.0 - y))
+    })
 }
 
 /// Hyperbolic tangent.
 pub fn tanh(a: &Tensor) -> Tensor {
     let out = a.data().map(f32::tanh);
     let saved = out.clone();
-    unary_replayable(
-        "tanh",
-        a,
-        out,
-        saved,
-        |g, y| g.zip_map(y, |g, y| g * (1.0 - y * y)),
-        Box::new(|x, _| {
-            let out = x.map(f32::tanh);
-            (out.clone(), out)
-        }),
-    )
+    unary("tanh", a, out, saved, |g, y| {
+        g.zip_map(y, |g, y| g * (1.0 - y * y))
+    })
 }
 
 /// Rectified linear unit.
 pub fn relu(a: &Tensor) -> Tensor {
     let out = a.data().map(|v| v.max(0.0));
-    unary_replayable(
-        "relu",
-        a,
-        out,
-        a.value(),
-        |g, x| g.zip_map(x, |g, x| if x > 0.0 { g } else { 0.0 }),
-        Box::new(|x, _| (x.map(|v| v.max(0.0)), x.clone())),
-    )
+    unary("relu", a, out, a.value(), |g, x| {
+        g.zip_map(x, |g, x| if x > 0.0 { g } else { 0.0 })
+    })
 }
 
 /// GELU activation (tanh approximation, as used by BERT/the paper's FFN,
@@ -244,18 +181,11 @@ pub fn gelu(a: &Tensor) -> Tensor {
     let data = a.data();
     let out = gelu_arr(&data);
     drop(data);
-    unary_replayable(
-        "gelu",
-        a,
-        out,
-        a.value(),
-        |g, x| {
-            let mut dx = crate::pool::take_filled(g.len(), 0.0);
-            (crate::simd::kernels().gelu_bwd)(x.data(), g.data(), &mut dx);
-            NdArray::from_vec(g.shape().to_vec(), dx)
-        },
-        Box::new(|x, _| (gelu_arr(x), x.clone())),
-    )
+    unary("gelu", a, out, a.value(), |g, x| {
+        let mut dx = crate::pool::take_filled(g.len(), 0.0);
+        (crate::simd::kernels().gelu_bwd)(x.data(), g.data(), &mut dx);
+        NdArray::from_vec(g.shape().to_vec(), dx)
+    })
 }
 
 fn gelu_arr(x: &NdArray) -> NdArray {

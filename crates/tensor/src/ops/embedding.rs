@@ -18,21 +18,19 @@ pub fn embedding(weight: &Tensor, indices: &[usize], batch_shape: &[usize]) -> T
     assert_eq!(indices.len(), n, "indices length vs batch shape");
     let mut out_shape = batch_shape.to_vec();
     out_shape.push(d);
-    let out = lookup(&weight.data(), indices, v, d, out_shape.clone());
+    let out = lookup(&weight.data(), indices, v, d, out_shape);
     Tensor::from_op(
         out,
         vec![weight.clone()],
         Box::new(EmbeddingOp {
             v,
             d,
-            out_shape,
-            indices: std::cell::RefCell::new(indices.to_vec()),
-            slot: crate::plan::slot_of(indices),
+            indices: indices.to_vec(),
         }),
     )
 }
 
-/// Shared forward body (eager construction and plan replay).
+/// Gather the rows of `data` (`[v, d]`) at `indices` into `out_shape`.
 fn lookup(data: &NdArray, indices: &[usize], v: usize, d: usize, out_shape: Vec<usize>) -> NdArray {
     let w = data.data();
     let mut out = crate::pool::take_empty(indices.len() * d);
@@ -46,17 +44,14 @@ fn lookup(data: &NdArray, indices: &[usize], v: usize, d: usize, out_shape: Vec<
 struct EmbeddingOp {
     v: usize,
     d: usize,
-    out_shape: Vec<usize>,
-    indices: std::cell::RefCell<Vec<usize>>,
-    /// Which per-step buffer the indices came from (for plan rebinding).
-    slot: Option<crate::plan::Slot>,
+    indices: Vec<usize>,
 }
 
 impl Op for EmbeddingOp {
     fn backward(&self, grad: &NdArray, _parents: &[Tensor]) -> Vec<Option<NdArray>> {
         let g = grad.data();
         let (v, d) = (self.v, self.d);
-        let indices = self.indices.borrow();
+        let indices = &self.indices;
         debug_assert_eq!(g.len(), indices.len() * d, "grad is [rows, d]");
         // Stable counting sort of gradient rows by target vocab index. Each
         // vocab row's contributions are then applied in ascending gradient-row
@@ -100,29 +95,6 @@ impl Op for EmbeddingOp {
     }
     fn name(&self) -> &'static str {
         "embedding"
-    }
-    fn replayable(&self) -> bool {
-        true
-    }
-    fn bound_slot(&self) -> Option<crate::plan::Slot> {
-        self.slot
-    }
-    fn rebind(&self, data: &[usize]) {
-        let mut indices = self.indices.borrow_mut();
-        debug_assert_eq!(indices.len(), data.len(), "rebind length");
-        indices.clear();
-        indices.extend_from_slice(data);
-    }
-    fn replay(&self, parents: &[Tensor], _ctx: &mut crate::plan::ReplayCtx) -> Option<NdArray> {
-        let _prof = super::fwd_prof("embedding", self.indices.borrow().len());
-        debug_assert_eq!(parents.len(), 1, "embedding has one parent (the table)");
-        Some(lookup(
-            &parents[0].data(),
-            &self.indices.borrow(),
-            self.v,
-            self.d,
-            self.out_shape.clone(),
-        ))
     }
 }
 

@@ -33,16 +33,14 @@ pub fn cross_entropy(logits: &Tensor, targets: &[usize]) -> Tensor {
         NdArray::scalar(loss),
         vec![logits.clone()],
         Box::new(CrossEntropyOp {
-            softmax: std::cell::RefCell::new(softmax),
-            targets: std::cell::RefCell::new(targets.to_vec()),
-            slot: crate::plan::slot_of(targets),
+            softmax,
+            targets: targets.to_vec(),
         }),
     )
 }
 
-/// Shared forward body (eager construction and plan replay): row-parallel
-/// softmax + loss. Each chunk writes its own softmax rows and returns an
-/// f64 partial loss; partials are folded in chunk order.
+/// Row-parallel softmax + loss. Each chunk writes its own softmax rows and
+/// returns an f64 partial loss; partials are folded in chunk order.
 fn softmax_and_loss(data: &NdArray, targets: &[usize], b: usize, v: usize) -> (NdArray, f32) {
     let src = data.data();
     debug_assert!(
@@ -89,23 +87,19 @@ fn softmax_and_loss(data: &NdArray, targets: &[usize], b: usize, v: usize) -> (N
 }
 
 struct CrossEntropyOp {
-    softmax: std::cell::RefCell<NdArray>,
-    targets: std::cell::RefCell<Vec<usize>>,
-    /// Which per-step buffer the targets came from (for plan rebinding).
-    slot: Option<crate::plan::Slot>,
+    softmax: NdArray,
+    targets: Vec<usize>,
 }
 
 impl Op for CrossEntropyOp {
     fn backward(&self, grad: &NdArray, _parents: &[Tensor]) -> Vec<Option<NdArray>> {
         let g = grad.scalar_value();
-        let softmax = self.softmax.borrow();
-        let shape = softmax.shape().to_vec();
+        let shape = self.softmax.shape().to_vec();
         let (b, v) = (shape[0], shape[1]);
-        let targets = self.targets.borrow();
+        let targets = &self.targets[..];
         debug_assert_eq!(targets.len(), b, "one target per softmax row");
         let scale = g / b as f32;
-        let sm = softmax.data();
-        let targets = &targets[..];
+        let sm = self.softmax.data();
         let mut dx = crate::pool::take_filled(b * v, 0.0);
         {
             let w = slime_par::UnsafeSlice::new(&mut dx);
@@ -126,30 +120,6 @@ impl Op for CrossEntropyOp {
     }
     fn name(&self) -> &'static str {
         "cross_entropy"
-    }
-    fn replayable(&self) -> bool {
-        true
-    }
-    fn bound_slot(&self) -> Option<crate::plan::Slot> {
-        self.slot
-    }
-    fn rebind(&self, data: &[usize]) {
-        let mut targets = self.targets.borrow_mut();
-        debug_assert_eq!(targets.len(), data.len(), "rebind length");
-        targets.clear();
-        targets.extend_from_slice(data);
-    }
-    fn replay(&self, parents: &[Tensor], _ctx: &mut crate::plan::ReplayCtx) -> Option<NdArray> {
-        let _prof = super::fwd_prof("cross_entropy", parents[0].len());
-        debug_assert_eq!(parents.len(), 1, "cross_entropy has one parent");
-        let targets = self.targets.borrow();
-        let (b, v) = {
-            let s = self.softmax.borrow();
-            (s.shape()[0], s.shape()[1])
-        };
-        let (softmax, loss) = softmax_and_loss(&parents[0].data(), &targets, b, v);
-        *self.softmax.borrow_mut() = softmax;
-        Some(NdArray::scalar(loss))
     }
 }
 

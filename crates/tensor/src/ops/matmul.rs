@@ -21,8 +21,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     Tensor::from_op(out, vec![a.clone(), b.clone()], Box::new(MatMulOp))
 }
 
-/// Stateless: backward reads the parents' *current* values (correct both
-/// eagerly and after a step-plan replay refreshes them in place).
+/// Stateless: backward reads the operands from the parent tensors.
 struct MatMulOp;
 
 impl Op for MatMulOp {
@@ -35,14 +34,6 @@ impl Op for MatMulOp {
     }
     fn name(&self) -> &'static str {
         "matmul"
-    }
-    fn replayable(&self) -> bool {
-        true
-    }
-    fn replay(&self, parents: &[Tensor], _ctx: &mut crate::plan::ReplayCtx) -> Option<NdArray> {
-        let _prof = super::fwd_prof("matmul", parents[0].len());
-        debug_assert_eq!(parents.len(), 2, "matmul has two parents");
-        Some(parents[0].data().matmul2d(&parents[1].data()))
     }
 }
 
@@ -75,14 +66,6 @@ impl Op for MatMulNtOp {
     fn name(&self) -> &'static str {
         "matmul_nt"
     }
-    fn replayable(&self) -> bool {
-        true
-    }
-    fn replay(&self, parents: &[Tensor], _ctx: &mut crate::plan::ReplayCtx) -> Option<NdArray> {
-        let _prof = super::fwd_prof("matmul_nt", parents[0].len());
-        debug_assert_eq!(parents.len(), 2, "matmul_nt has two parents");
-        Some(parents[0].data().matmul2d_nt(&parents[1].data()))
-    }
 }
 
 /// Batched matrix multiply `[b,m,k] x [b,k,n] -> [b,m,n]`.
@@ -109,14 +92,6 @@ impl Op for BmmOp {
     }
     fn name(&self) -> &'static str {
         "bmm"
-    }
-    fn replayable(&self) -> bool {
-        true
-    }
-    fn replay(&self, parents: &[Tensor], _ctx: &mut crate::plan::ReplayCtx) -> Option<NdArray> {
-        let _prof = super::fwd_prof("bmm", parents[0].len());
-        debug_assert_eq!(parents.len(), 2, "bmm has two parents");
-        Some(parents[0].data().bmm(&parents[1].data()))
     }
 }
 
@@ -149,14 +124,6 @@ impl Op for BmmNtOp {
     }
     fn name(&self) -> &'static str {
         "bmm_nt"
-    }
-    fn replayable(&self) -> bool {
-        true
-    }
-    fn replay(&self, parents: &[Tensor], _ctx: &mut crate::plan::ReplayCtx) -> Option<NdArray> {
-        let _prof = super::fwd_prof("bmm_nt", parents[0].len());
-        debug_assert_eq!(parents.len(), 2, "bmm_nt has two parents");
-        Some(parents[0].data().bmm_nt(&parents[1].data()))
     }
 }
 

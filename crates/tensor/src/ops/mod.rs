@@ -69,24 +69,15 @@ pub(crate) fn assert_broadcastable(a: &[usize], b: &[usize], op: &str) {
     );
 }
 
-/// Replay closure for a [`Unary`] op: `(parent_value, old_saved)` to
-/// `(fresh_output, fresh_saved)`. Must compute the exact expressions the
-/// eager constructor computes so a replayed step is bitwise identical.
-pub(crate) type UnaryRefwd = Box<dyn Fn(&NdArray, &NdArray) -> (NdArray, NdArray)>;
-
 /// A unary op saving one array, with the VJP given as a closure
-/// `(grad_out, saved) -> grad_in`. Ops constructed with
-/// [`unary_replayable`] additionally carry a forward-recompute closure and
-/// participate in recorded step plans (the saved array sits in a `RefCell`
-/// so replay can refresh it in place).
+/// `(grad_out, saved) -> grad_in`.
 pub(crate) struct Unary<F>
 where
     F: Fn(&NdArray, &NdArray) -> NdArray,
 {
     name: &'static str,
-    saved: std::cell::RefCell<NdArray>,
+    saved: NdArray,
     vjp: F,
-    refwd: Option<UnaryRefwd>,
 }
 
 impl<F> Op for Unary<F>
@@ -94,20 +85,10 @@ where
     F: Fn(&NdArray, &NdArray) -> NdArray,
 {
     fn backward(&self, grad_out: &NdArray, _parents: &[Tensor]) -> Vec<Option<NdArray>> {
-        vec![Some((self.vjp)(grad_out, &self.saved.borrow()))]
+        vec![Some((self.vjp)(grad_out, &self.saved))]
     }
     fn name(&self) -> &'static str {
         self.name
-    }
-    fn replayable(&self) -> bool {
-        self.refwd.is_some()
-    }
-    fn replay(&self, parents: &[Tensor], _ctx: &mut crate::plan::ReplayCtx) -> Option<NdArray> {
-        debug_assert_eq!(parents.len(), 1, "unary op has one parent");
-        let refwd = self.refwd.as_ref()?;
-        let (out, fresh) = refwd(&parents[0].data(), &self.saved.borrow());
-        *self.saved.borrow_mut() = fresh;
-        Some(out)
     }
 }
 
@@ -121,38 +102,5 @@ pub(crate) fn unary<F>(
 where
     F: Fn(&NdArray, &NdArray) -> NdArray + 'static,
 {
-    Tensor::from_op(
-        out,
-        vec![x.clone()],
-        Box::new(Unary {
-            name,
-            saved: std::cell::RefCell::new(saved),
-            vjp,
-            refwd: None,
-        }),
-    )
-}
-
-/// [`unary`] plus a replay closure, making the op step-plan replayable.
-pub(crate) fn unary_replayable<F>(
-    name: &'static str,
-    x: &Tensor,
-    out: NdArray,
-    saved: NdArray,
-    vjp: F,
-    refwd: UnaryRefwd,
-) -> Tensor
-where
-    F: Fn(&NdArray, &NdArray) -> NdArray + 'static,
-{
-    Tensor::from_op(
-        out,
-        vec![x.clone()],
-        Box::new(Unary {
-            name,
-            saved: std::cell::RefCell::new(saved),
-            vjp,
-            refwd: Some(refwd),
-        }),
-    )
+    Tensor::from_op(out, vec![x.clone()], Box::new(Unary { name, saved, vjp }))
 }

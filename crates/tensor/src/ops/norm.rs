@@ -19,16 +19,11 @@ pub fn layer_norm(x: &Tensor, gamma: &Tensor, beta: &Tensor, eps: f32) -> Tensor
     Tensor::from_op(
         out,
         vec![x.clone(), gamma.clone(), beta.clone()],
-        Box::new(LayerNormOp {
-            xhat: std::cell::RefCell::new(xhat),
-            inv_std: std::cell::RefCell::new(inv_std),
-            eps,
-        }),
+        Box::new(LayerNormOp { xhat, inv_std }),
     )
 }
 
-/// Shared forward body (eager construction and plan replay): returns
-/// `(out, xhat, inv_std)`.
+/// Forward body: returns `(out, xhat, inv_std)`.
 pub(crate) fn layer_norm_fwd(
     x: &NdArray,
     gamma: &NdArray,
@@ -72,17 +67,15 @@ pub(crate) fn layer_norm_fwd(
 }
 
 struct LayerNormOp {
-    xhat: std::cell::RefCell<NdArray>,
-    inv_std: std::cell::RefCell<Vec<f32>>,
-    eps: f32,
+    xhat: NdArray,
+    inv_std: Vec<f32>,
 }
 
 impl Op for LayerNormOp {
     fn backward(&self, grad: &NdArray, parents: &[Tensor]) -> Vec<Option<NdArray>> {
         let gamma = parents[1].data();
         let d = gamma.len();
-        let xhat = self.xhat.borrow();
-        let inv_std = self.inv_std.borrow();
+        let (xhat, inv_std) = (&self.xhat, &self.inv_std);
         let rows = xhat.len() / d;
         let xh = xhat.data();
         let g = grad.data();
@@ -120,24 +113,6 @@ impl Op for LayerNormOp {
     fn name(&self) -> &'static str {
         "layer_norm"
     }
-    fn replayable(&self) -> bool {
-        true
-    }
-    fn replay(&self, parents: &[Tensor], _ctx: &mut crate::plan::ReplayCtx) -> Option<NdArray> {
-        let _prof = super::fwd_prof("layer_norm", parents[0].len());
-        debug_assert_eq!(parents.len(), 3, "layer_norm has x, gamma, beta");
-        let d = parents[1].len();
-        let (out, xhat, inv_std) = layer_norm_fwd(
-            &parents[0].data(),
-            &parents[1].data(),
-            &parents[2].data(),
-            self.eps,
-            d,
-        );
-        *self.xhat.borrow_mut() = xhat;
-        *self.inv_std.borrow_mut() = inv_std;
-        Some(out)
-    }
 }
 
 /// L2-normalize each row of the last dimension: `y = x / max(||x||, eps)`.
@@ -151,16 +126,11 @@ pub fn l2_normalize(x: &Tensor, eps: f32) -> Tensor {
     Tensor::from_op(
         out,
         vec![x.clone()],
-        Box::new(L2NormalizeOp {
-            y: std::cell::RefCell::new(y),
-            inv_norm: std::cell::RefCell::new(inv_norm),
-            d,
-            eps,
-        }),
+        Box::new(L2NormalizeOp { y, inv_norm, d }),
     )
 }
 
-/// Shared forward body: returns `(out, inv_norm)`.
+/// Forward body: returns `(out, inv_norm)`.
 fn l2_normalize_fwd(x: &NdArray, eps: f32, d: usize) -> (NdArray, Vec<f32>) {
     let rows = x.len() / d;
     let src = x.data();
@@ -179,18 +149,16 @@ fn l2_normalize_fwd(x: &NdArray, eps: f32, d: usize) -> (NdArray, Vec<f32>) {
 }
 
 struct L2NormalizeOp {
-    y: std::cell::RefCell<NdArray>,
-    inv_norm: std::cell::RefCell<Vec<f32>>,
+    y: NdArray,
+    inv_norm: Vec<f32>,
     d: usize,
-    eps: f32,
 }
 
 impl Op for L2NormalizeOp {
     fn backward(&self, grad: &NdArray, _parents: &[Tensor]) -> Vec<Option<NdArray>> {
         // dx = (g - y * (y . g)) / ||x||
         let d = self.d;
-        let saved = self.y.borrow();
-        let inv_norm = self.inv_norm.borrow();
+        let (saved, inv_norm) = (&self.y, &self.inv_norm);
         let rows = saved.len() / d;
         let y = saved.data();
         let g = grad.data();
@@ -209,17 +177,6 @@ impl Op for L2NormalizeOp {
     }
     fn name(&self) -> &'static str {
         "l2_normalize"
-    }
-    fn replayable(&self) -> bool {
-        true
-    }
-    fn replay(&self, parents: &[Tensor], _ctx: &mut crate::plan::ReplayCtx) -> Option<NdArray> {
-        let _prof = super::fwd_prof("l2_normalize", parents[0].len());
-        debug_assert_eq!(parents.len(), 1, "l2_normalize has one parent");
-        let (out, inv_norm) = l2_normalize_fwd(&parents[0].data(), self.eps, self.d);
-        *self.y.borrow_mut() = out.clone();
-        *self.inv_norm.borrow_mut() = inv_norm;
-        Some(out)
     }
 }
 

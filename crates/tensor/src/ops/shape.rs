@@ -6,21 +6,16 @@ use crate::tensor::{Op, Tensor};
 
 /// Reshape to a new shape with the same element count.
 pub fn reshape(x: &Tensor, shape: impl Into<Vec<usize>>) -> Tensor {
-    let shape = shape.into();
-    let out = x.data().reshape(shape.clone());
+    let out = x.data().reshape(shape.into());
     Tensor::from_op(
         out,
         vec![x.clone()],
-        Box::new(ReshapeOp {
-            orig: x.shape(),
-            new_shape: shape,
-        }),
+        Box::new(ReshapeOp { orig: x.shape() }),
     )
 }
 
 struct ReshapeOp {
     orig: Vec<usize>,
-    new_shape: Vec<usize>,
 }
 
 impl Op for ReshapeOp {
@@ -29,13 +24,6 @@ impl Op for ReshapeOp {
     }
     fn name(&self) -> &'static str {
         "reshape"
-    }
-    fn replayable(&self) -> bool {
-        true
-    }
-    fn replay(&self, parents: &[Tensor], _ctx: &mut crate::plan::ReplayCtx) -> Option<NdArray> {
-        debug_assert_eq!(parents.len(), 1, "reshape has one parent");
-        Some(parents[0].data().reshape(self.new_shape.clone()))
     }
 }
 
@@ -47,19 +35,11 @@ pub fn permute(x: &Tensor, axes: &[usize]) -> Tensor {
     for (i, &a) in axes.iter().enumerate() {
         inverse[a] = i;
     }
-    Tensor::from_op(
-        out,
-        vec![x.clone()],
-        Box::new(PermuteOp {
-            inverse,
-            axes: axes.to_vec(),
-        }),
-    )
+    Tensor::from_op(out, vec![x.clone()], Box::new(PermuteOp { inverse }))
 }
 
 struct PermuteOp {
     inverse: Vec<usize>,
-    axes: Vec<usize>,
 }
 
 impl Op for PermuteOp {
@@ -68,13 +48,6 @@ impl Op for PermuteOp {
     }
     fn name(&self) -> &'static str {
         "permute"
-    }
-    fn replayable(&self) -> bool {
-        true
-    }
-    fn replay(&self, parents: &[Tensor], _ctx: &mut crate::plan::ReplayCtx) -> Option<NdArray> {
-        debug_assert_eq!(parents.len(), 1, "permute has one parent");
-        Some(parents[0].data().permute(&self.axes))
     }
 }
 
@@ -120,7 +93,6 @@ fn slice_axis_impl(x: &Tensor, axis: usize, start: usize, len: usize, squeeze: b
             axis,
             start,
             len,
-            squeeze,
         }),
     )
 }
@@ -130,7 +102,6 @@ struct SliceOp {
     axis: usize,
     start: usize,
     len: usize,
-    squeeze: bool,
 }
 
 impl Op for SliceOp {
@@ -151,32 +122,6 @@ impl Op for SliceOp {
     }
     fn name(&self) -> &'static str {
         "slice"
-    }
-    fn replayable(&self) -> bool {
-        true
-    }
-    fn replay(&self, parents: &[Tensor], _ctx: &mut crate::plan::ReplayCtx) -> Option<NdArray> {
-        let outer: usize = self.shape[..self.axis].iter().product();
-        let mid = self.shape[self.axis];
-        let inner: usize = self.shape[self.axis + 1..].iter().product();
-        let data = parents[0].data();
-        let src = data.data();
-        debug_assert!(
-            src.len() == outer * mid * inner && self.start + self.len <= mid,
-            "slice range within the saved input shape"
-        );
-        let mut out = crate::pool::take_empty(outer * self.len * inner);
-        for o in 0..outer {
-            let base = (o * mid + self.start) * inner;
-            out.extend_from_slice(&src[base..base + self.len * inner]);
-        }
-        let mut out_shape = self.shape.clone();
-        if self.squeeze && self.len == 1 {
-            out_shape.remove(self.axis);
-        } else {
-            out_shape[self.axis] = self.len;
-        }
-        Some(NdArray::from_vec(out_shape, out))
     }
 }
 
@@ -261,27 +206,6 @@ impl Op for ConcatOp {
     }
     fn name(&self) -> &'static str {
         "concat"
-    }
-    fn replayable(&self) -> bool {
-        true
-    }
-    fn replay(&self, parents: &[Tensor], _ctx: &mut crate::plan::ReplayCtx) -> Option<NdArray> {
-        debug_assert_eq!(parents.len(), self.sizes.len(), "one parent per piece");
-        let mut out = crate::pool::take_filled(self.outer * self.total * self.inner, 0.0);
-        let mut offset = 0usize;
-        for (x, &sz) in parents.iter().zip(&self.sizes) {
-            let data = x.data();
-            let src = data.data();
-            for o in 0..self.outer {
-                let dst = (o * self.total + offset) * self.inner;
-                let s = o * sz * self.inner;
-                out[dst..dst + sz * self.inner].copy_from_slice(&src[s..s + sz * self.inner]);
-            }
-            offset += sz;
-        }
-        let mut out_shape = parents[0].shape();
-        out_shape[self.axis] = self.total;
-        Some(NdArray::from_vec(out_shape, out))
     }
 }
 

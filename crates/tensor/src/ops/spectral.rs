@@ -187,7 +187,13 @@ pub fn spectral_filter_mix(x: &Tensor, branches: &[SpectralBranch]) -> Tensor {
         assert_eq!(br.mask.len(), m, "branch {i} mask length");
     }
 
-    let (fre, fim) = effective_filter(branches, m, d);
+    let masks: Vec<Vec<f32>> = branches.iter().map(|br| br.mask.clone()).collect();
+    let coefs: Vec<f32> = branches.iter().map(|br| br.coef).collect();
+    let weights: Vec<(NdArray, NdArray)> = branches
+        .iter()
+        .map(|br| (br.w_re.value(), br.w_im.value()))
+        .collect();
+    let (fre, fim) = effective_filter(&masks, &coefs, &weights, m, d);
     let data = x.data();
     let (out, xre, xim) = spectral_transform(data.data(), &fre, &fim, b, n, d, m);
     drop(data);
@@ -209,16 +215,15 @@ pub fn spectral_filter_mix(x: &Tensor, branches: &[SpectralBranch]) -> Tensor {
             b,
             n,
             d,
-            xre: std::cell::RefCell::new(xre),
-            xim: std::cell::RefCell::new(xim),
-            masks: branches.iter().map(|br| br.mask.clone()).collect(),
-            coefs: branches.iter().map(|br| br.coef).collect(),
+            xre,
+            xim,
+            masks,
+            coefs,
         }),
     )
 }
 
-/// Shared transform body (eager construction and plan replay):
-/// `y = irfft(rfft(x) * F)` along the time axis. Returns
+/// Transform body: `y = irfft(rfft(x) * F)` along the time axis. Returns
 /// `(out, xre, xim)` — the output signal and the saved forward spectrum
 /// planes the backward pass reads.
 ///
@@ -370,8 +375,8 @@ fn spectral_transform(
     (out, xre, xim)
 }
 
-/// `F[k,c] = sum_i coef_i * mask_i[k] * W_i[k,c]` from branch tensors.
-fn effective_filter_from(
+/// `F[k,c] = sum_i coef_i * mask_i[k] * W_i[k,c]` over the branches.
+fn effective_filter(
     masks: &[Vec<f32>],
     coefs: &[f32],
     weights: &[(NdArray, NdArray)],
@@ -398,23 +403,13 @@ fn effective_filter_from(
     (fre, fim)
 }
 
-fn effective_filter(branches: &[SpectralBranch], m: usize, d: usize) -> (Vec<f32>, Vec<f32>) {
-    let masks: Vec<Vec<f32>> = branches.iter().map(|b| b.mask.clone()).collect();
-    let coefs: Vec<f32> = branches.iter().map(|b| b.coef).collect();
-    let weights: Vec<(NdArray, NdArray)> = branches
-        .iter()
-        .map(|b| (b.w_re.value(), b.w_im.value()))
-        .collect();
-    effective_filter_from(&masks, &coefs, &weights, m, d)
-}
-
 struct SpectralOp {
     b: usize,
     n: usize,
     d: usize,
-    /// Saved forward spectrum, `[B, M, D]` planes (refreshed on replay).
-    xre: std::cell::RefCell<Vec<f32>>,
-    xim: std::cell::RefCell<Vec<f32>>,
+    /// Saved forward spectrum, `[B, M, D]` planes.
+    xre: Vec<f32>,
+    xim: Vec<f32>,
     masks: Vec<Vec<f32>>,
     coefs: Vec<f32>,
 }
@@ -432,7 +427,7 @@ impl Op for SpectralOp {
             .chunks(2)
             .map(|p| (p[0].value(), p[1].value()))
             .collect();
-        let (fre, fim) = effective_filter_from(&self.masks, &self.coefs, &weights, m, d);
+        let (fre, fim) = effective_filter(&self.masks, &self.coefs, &weights, m, d);
 
         // Per-bin adjoint weights c_k / N.
         let mut ck = vec![2.0f32 / n as f32; m];
@@ -504,9 +499,7 @@ impl Op for SpectralOp {
         // regardless of thread count.
         let mut dfre = crate::pool::take_filled(m * d, 0.0);
         let mut dfim = crate::pool::take_filled(m * d, 0.0);
-        let xre_guard = self.xre.borrow();
-        let xim_guard = self.xim.borrow();
-        let (xre, xim): (&[f32], &[f32]) = (&xre_guard, &xim_guard);
+        let (xre, xim): (&[f32], &[f32]) = (&self.xre, &self.xim);
         {
             let wdre = UnsafeSlice::new(&mut dfre);
             let wdim = UnsafeSlice::new(&mut dfim);
@@ -620,41 +613,14 @@ impl Op for SpectralOp {
     fn name(&self) -> &'static str {
         "spectral_filter_mix"
     }
-    fn replayable(&self) -> bool {
-        true
-    }
-    fn replay(&self, parents: &[Tensor], _ctx: &mut crate::plan::ReplayCtx) -> Option<NdArray> {
-        let _prof = super::fwd_prof("spectral_filter_mix", parents[0].len());
-        debug_assert_eq!(parents.len() % 2, 1, "signal plus (re, im) weight pairs");
-        let (b, n, d) = (self.b, self.n, self.d);
-        let m = n / 2 + 1;
-        if n <= DFT_MATMUL_MAX_N && d > 0 {
-            slime_trace::metrics::counter_add("spectral.matmul_path", 1);
-        } else {
-            slime_trace::metrics::counter_add("spectral.fft_path", 1);
-        }
-        let weights: Vec<(NdArray, NdArray)> = parents[1..]
-            .chunks(2)
-            .map(|p| (p[0].value(), p[1].value()))
-            .collect();
-        let (fre, fim) = effective_filter_from(&self.masks, &self.coefs, &weights, m, d);
-        let data = parents[0].data();
-        let (out, xre, xim) = spectral_transform(data.data(), &fre, &fim, b, n, d, m);
-        drop(data);
-        crate::pool::recycle(fre);
-        crate::pool::recycle(fim);
-        crate::pool::recycle(std::mem::replace(&mut *self.xre.borrow_mut(), xre));
-        crate::pool::recycle(std::mem::replace(&mut *self.xim.borrow_mut(), xim));
-        Some(NdArray::from_vec(vec![b, n, d], out))
-    }
 }
 
 impl Drop for SpectralOp {
     fn drop(&mut self) {
         // The saved spectrum planes are plain `Vec`s (not `NdArray`s), so
         // recycle them by hand when the graph node dies.
-        crate::pool::recycle(self.xre.take());
-        crate::pool::recycle(self.xim.take());
+        crate::pool::recycle(std::mem::take(&mut self.xre));
+        crate::pool::recycle(std::mem::take(&mut self.xim));
     }
 }
 

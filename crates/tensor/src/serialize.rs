@@ -28,11 +28,18 @@ impl ToJson for ArrayRecord {
 }
 
 impl FromJson for ArrayRecord {
+    /// Rejects a record whose data length is not the product of its shape.
     fn from_json(v: &Value) -> Result<Self, JsonError> {
-        Ok(ArrayRecord {
-            shape: Vec::from_json(v.field("shape")?)?,
-            data: Vec::from_json(v.field("data")?)?,
-        })
+        let shape: Vec<usize> = Vec::from_json(v.field("shape")?)?;
+        let data: Vec<f32> = Vec::from_json(v.field("data")?)?;
+        let expected = shape.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
+        if expected != Some(data.len()) {
+            return Err(JsonError(format!(
+                "array shape {shape:?} does not match data length {}",
+                data.len()
+            )));
+        }
+        Ok(ArrayRecord { shape, data })
     }
 }
 
@@ -89,15 +96,33 @@ impl StateDict {
         assert!(prev.is_none(), "duplicate parameter name {name:?}");
     }
 
-    /// Copy the stored value for `name` into tensor `t`.
-    ///
-    /// # Panics
-    /// Panics if `name` is missing or shapes mismatch.
-    pub fn load_into(&self, name: &str, t: &Tensor) {
+    /// Check that `name` is stored with `t`'s shape, so that
+    /// [`StateDict::load_into`] will succeed.
+    pub fn check(&self, name: &str, t: &Tensor) -> Result<(), String> {
         let rec = self
             .entries
             .get(name)
-            .unwrap_or_else(|| panic!("missing parameter {name:?} in checkpoint"));
+            .ok_or_else(|| format!("missing parameter {name:?} in checkpoint"))?;
+        let shape = t.shape();
+        if rec.shape != shape {
+            return Err(format!(
+                "parameter {name:?} has shape {:?} in the checkpoint, \
+                 but the model expects {shape:?}",
+                rec.shape
+            ));
+        }
+        Ok(())
+    }
+
+    /// Copy the stored value for `name` into tensor `t`.
+    ///
+    /// # Panics
+    /// Panics if [`StateDict::check`] fails.
+    pub fn load_into(&self, name: &str, t: &Tensor) {
+        if let Err(e) = self.check(name, t) {
+            panic!("{e}");
+        }
+        let rec = &self.entries[name];
         t.set_data(NdArray::from_vec(rec.shape.clone(), rec.data.clone()));
     }
 
@@ -151,6 +176,33 @@ mod tests {
     fn missing_name_rejected() {
         let sd = StateDict::new();
         sd.load_into("nope", &Tensor::param(NdArray::scalar(0.0)));
+    }
+
+    #[test]
+    fn check_reports_missing_and_misshaped_parameters() {
+        let mut sd = StateDict::new();
+        sd.insert("w", &Tensor::param(NdArray::zeros(vec![3])));
+        assert!(sd
+            .check("w", &Tensor::param(NdArray::zeros(vec![3])))
+            .is_ok());
+        let err = sd.check("v", &Tensor::param(NdArray::zeros(vec![3])));
+        assert!(err.unwrap_err().contains("missing"));
+        let err = sd.check("w", &Tensor::param(NdArray::zeros(vec![2, 2])));
+        assert!(err.unwrap_err().contains("[2, 2]"));
+    }
+
+    #[test]
+    fn record_with_wrong_data_length_is_rejected() {
+        let ok: ArrayRecord = slime_json::from_str(r#"{"shape":[2,2],"data":[1,2,3,4]}"#).unwrap();
+        assert_eq!(ok.data.len(), 4);
+        for bad in [
+            r#"{"shape":[17],"data":[1,2,3]}"#,
+            r#"{"shape":[2,2],"data":[1,2,3,4,5]}"#,
+            r#"{"shape":[4294967296,4294967296,2],"data":[1]}"#,
+        ] {
+            let err = slime_json::from_str::<ArrayRecord>(bad).unwrap_err();
+            assert!(err.to_string().contains("does not match"), "{bad}: {err}");
+        }
     }
 
     #[test]

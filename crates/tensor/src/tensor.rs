@@ -22,37 +22,13 @@ pub trait Op {
 
     /// Op name for error messages and graph debugging.
     fn name(&self) -> &'static str;
-
-    /// Whether this op supports [`Op::replay`] (recorded step plans replay
-    /// only through ops that do; any other op makes the step non-replayable
-    /// and the trainer falls back to eager tracing).
-    fn replayable(&self) -> bool {
-        false
-    }
-
-    /// Recompute this op's forward value from its parents' *current* values,
-    /// refreshing (via interior mutability) any saved state `backward` reads.
-    /// Returns `None` when replay is impossible in this context (e.g. a
-    /// stochastic op given no RNG).
-    fn replay(&self, _parents: &[Tensor], _ctx: &mut crate::plan::ReplayCtx) -> Option<NdArray> {
-        None
-    }
-
-    /// Which per-step integer buffer this op captured, if any; replay calls
-    /// [`Op::rebind`] with the fresh buffer for that slot before `replay`.
-    fn bound_slot(&self) -> Option<crate::plan::Slot> {
-        None
-    }
-
-    /// Replace the op's captured integer buffer with fresh per-step data.
-    fn rebind(&self, _data: &[usize]) {}
 }
 
 static NODES_ALLOCATED: AtomicU64 = AtomicU64::new(0);
 
 /// Lifetime count of graph nodes allocated by [`Tensor::from_op`]
-/// (gradient-tracking outputs only). The step-plan machinery asserts this
-/// stays flat across replays; published as the `tape.nodes_allocated` gauge.
+/// (gradient-tracking outputs only); published as the
+/// `tape.nodes_allocated` gauge.
 pub fn nodes_allocated() -> u64 {
     NODES_ALLOCATED.load(Ordering::Relaxed)
 }
@@ -133,7 +109,7 @@ impl Tensor {
     }
 
     fn leaf(data: NdArray, requires_grad: bool) -> Tensor {
-        let t = Tensor {
+        Tensor {
             inner: Rc::new(Inner {
                 id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
                 data: RefCell::new(data),
@@ -141,9 +117,7 @@ impl Tensor {
                 requires_grad,
                 node: None,
             }),
-        };
-        crate::plan::record_leaf(&t);
-        t
+        }
     }
 
     /// Construct a non-leaf tensor produced by `op` from `parents`.
@@ -160,7 +134,7 @@ impl Tensor {
         if requires_grad {
             NODES_ALLOCATED.fetch_add(1, Ordering::Relaxed);
         }
-        let t = Tensor {
+        Tensor {
             inner: Rc::new(Inner {
                 id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
                 data: RefCell::new(data),
@@ -172,44 +146,7 @@ impl Tensor {
                     None
                 },
             }),
-        };
-        crate::plan::record_node(&t);
-        t
-    }
-
-    /// Plan-capture probe: `Some(replayable)` for a tensor with a graph
-    /// node, `None` for op outputs that tracked no gradient (no node).
-    pub(crate) fn op_replay_support(&self) -> Option<bool> {
-        self.inner.node.as_ref().map(|n| n.op.replayable())
-    }
-
-    /// Name of the producing op (`"leaf"` for leaves).
-    pub(crate) fn op_name(&self) -> &'static str {
-        self.inner
-            .node
-            .as_ref()
-            .map(|n| n.op.name())
-            .unwrap_or("leaf")
-    }
-
-    /// Replay this node's op against its parents' current values, rebinding
-    /// the per-step integer buffer first if the op captured one. Returns the
-    /// recomputed value or the op's name on failure.
-    pub(crate) fn replay_node(
-        &self,
-        inputs: &[usize],
-        targets: &[usize],
-        ctx: &mut crate::plan::ReplayCtx,
-    ) -> Result<NdArray, &'static str> {
-        let node = self.inner.node.as_ref().ok_or("leaf")?;
-        match node.op.bound_slot() {
-            Some(crate::plan::Slot::Inputs) => node.op.rebind(inputs),
-            Some(crate::plan::Slot::Targets) => node.op.rebind(targets),
-            None => {}
         }
-        node.op
-            .replay(&node.parents, ctx)
-            .ok_or_else(|| node.op.name())
     }
 
     /// Unique id of this tensor node.

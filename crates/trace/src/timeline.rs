@@ -129,10 +129,31 @@ fn with_state<R>(f: impl FnOnce(&mut State) -> R) -> R {
     f(guard.get_or_insert_with(State::new))
 }
 
+/// What a worker needs for its slice, read from the live job at
+/// `worker_begin`: the publisher may run `job_end` (dropping the job) before
+/// a worker that ran the last chunk reaches `worker_end`, but never before
+/// a worker that will claim a chunk has begun.
+#[derive(Clone, Copy)]
+struct Active {
+    token: u64,
+    begin_ns: u64,
+    queue_wait_ns: u64,
+    n_chunks: u32,
+    chunk_size: u32,
+}
+
+const IDLE: Active = Active {
+    token: 0,
+    begin_ns: 0,
+    queue_wait_ns: 0,
+    n_chunks: 0,
+    chunk_size: 0,
+};
+
 thread_local! {
-    /// `(job token, begin_ns)` while this thread executes a published job.
-    /// A thread works one job at a time, so one cell suffices.
-    static ACTIVE: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    /// The published job this thread is executing. A thread works one job
+    /// at a time, so one cell suffices.
+    static ACTIVE: Cell<Active> = const { Cell::new(IDLE) };
 }
 
 struct TimelineObserver;
@@ -182,30 +203,36 @@ impl slime_par::ParObserver for TimelineObserver {
     }
 
     fn worker_begin(&self, token: u64, _worker: usize) {
-        let now = crate::now_ns();
-        let _ = ACTIVE.try_with(|c| c.set((token, now)));
+        let begin_ns = crate::now_ns();
+        let mut active = Active {
+            token,
+            begin_ns,
+            ..IDLE
+        };
+        with_state(|s| {
+            if let Some(j) = s.jobs.get(&token) {
+                active.queue_wait_ns = begin_ns.saturating_sub(j.publish_ns);
+                active.n_chunks = j.n_chunks;
+                active.chunk_size = j.chunk_size;
+            }
+        });
+        let _ = ACTIVE.try_with(|c| c.set(active));
     }
 
     fn worker_end(&self, token: u64, worker: usize, chunks: u64) {
-        let (tok, t0) = ACTIVE.try_with(|c| c.replace((0, 0))).unwrap_or((0, 0));
-        if tok != token || token == 0 {
+        let a = ACTIVE.try_with(|c| c.replace(IDLE)).unwrap_or(IDLE);
+        if a.token != token || token == 0 {
             return;
         }
-        let busy = crate::now_ns().saturating_sub(t0);
+        let busy = crate::now_ns().saturating_sub(a.begin_ns);
         let worker = worker as u32;
-        let mut queue_wait = 0u64;
-        let mut n_chunks = 0u32;
-        let mut chunk_size = 0u32;
         with_state(|s| {
             if let Some(j) = s.jobs.get_mut(&token) {
-                queue_wait = t0.saturating_sub(j.publish_ns);
-                n_chunks = j.n_chunks;
-                chunk_size = j.chunk_size;
                 if chunks > 0 {
                     j.busies.push(busy);
                 }
             }
-            s.queue_wait.record(queue_wait as f64);
+            s.queue_wait.record(a.queue_wait_ns as f64);
             let w = s.workers.entry(worker).or_default();
             w.jobs += 1;
             if chunks > 0 {
@@ -219,12 +246,12 @@ impl slime_par::ParObserver for TimelineObserver {
             crate::push_slice(Slice {
                 job: token,
                 worker,
-                start_ns: t0,
+                start_ns: a.begin_ns,
                 dur_ns: busy,
                 chunks,
-                n_chunks,
-                chunk_size,
-                queue_wait_ns: queue_wait,
+                n_chunks: a.n_chunks,
+                chunk_size: a.chunk_size,
+                queue_wait_ns: a.queue_wait_ns,
             });
         }
     }

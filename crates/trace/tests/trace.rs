@@ -300,15 +300,28 @@ fn parallel_jobs_leave_worker_slices_gauges_and_a_loadable_timeline() {
     done(g);
 }
 
-/// A parallel workload whose chunks do real (cheap) work.
+/// A parallel workload whose chunks do real (cheap) work. The first chunk
+/// waits (up to 5 s) until another thread has run a chunk, so every job
+/// spans at least two lanes however quickly one thread could drain it.
 fn parallel_touch(n: usize, chunk: usize) {
     let data: Vec<u64> = (0..n as u64).collect();
+    let ran_on = Mutex::new(Vec::new());
     slime_par::parallel_for(n, chunk, |start, end| {
         let mut acc = 0u64;
         for &v in &data[start..end] {
             acc = acc.wrapping_add(v);
         }
         std::hint::black_box(acc);
+        let me = std::thread::current().id();
+        ran_on.lock().unwrap().push(me);
+        if start == 0 {
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+            while !ran_on.lock().unwrap().iter().any(|&t| t != me)
+                && std::time::Instant::now() < deadline
+            {
+                std::thread::yield_now();
+            }
+        }
     });
 }
 

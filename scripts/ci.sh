@@ -10,8 +10,14 @@
 #                        pass with SLIME_SIMD=0 so every test also holds
 #                        on the portable scalar kernels, and one with
 #                        SLIME_FUSE=0 so every test also holds on the
-#                        unfused eager paths (no epilogues, no step plans)
-#   4. runtime knobs     the determinism test re-run across the full
+#                        unfused paths (no epilogues, sequential dropout)
+#   4. flake guard       the lib + integration tests of the crates that
+#                        read process-global counters (slime-tensor,
+#                        slime-par, slime-fft, slime4rec, slime-serve)
+#                        run 3 more times at --test-threads=4, so a test
+#                        that asserts on a counter other test threads
+#                        also move fails here instead of flaking later
+#   5. runtime knobs     the determinism test re-run across the full
 #                        SLIME_FUSE={0,1} x SLIME_SIMD={0,1} x
 #                        SLIME_POOL={0,1} x SLIME_THREADS={1,4} matrix:
 #                        the buffer pool and the thread count are pure
@@ -20,46 +26,45 @@
 #                        variant (FMA contraction / the hashed dropout
 #                        sampler) but each variant must be internally
 #                        bitwise stable
-#   5. traced tests      one full pass with SLIME_TRACE=1: tracing is a
+#   6. traced tests      one full pass with SLIME_TRACE=1: tracing is a
 #                        pure observer, so every test must still pass with
 #                        the instrumentation live
-#   6. sanitizer tests   (NaN/Inf attribution under --features sanitize)
-#   7. race sanitizer    slime-par under --features sanitize-race (the
+#   7. sanitizer tests   (NaN/Inf attribution under --features sanitize)
+#   8. race sanitizer    slime-par under --features sanitize-race (the
 #                        UnsafeSlice shadow interval log), plus the
 #                        determinism test with the sanitizer live — the
 #                        shadow log must be bitwise-neutral
-#   8. slime-lint check  (offline purity, op coverage, transitive panic
+#   9. slime-lint check  (offline purity, op coverage, transitive panic
 #                         freedom, shape asserts, thread discipline, raw
 #                         prints, disjoint-writer proofs, nondeterminism —
 #                         exits 1 on any finding; artifact in lint.json)
-#   9. trace overhead    the trace_overhead bench: asserts traced training
+#  10. trace overhead    the trace_overhead bench: asserts traced training
 #                        costs <3% and the disabled hooks ~0
-#  10. lint throughput   the lint_bench bench: asserts a full-workspace
+#  11. lint throughput   the lint_bench bench: asserts a full-workspace
 #                        lint check stays under 2 s (artifact in
 #                        BENCH_lint.json)
-#  11. retrieval floors  the ann_sweep bench: exact vs two-stage retrieval
+#  12. retrieval floors  the ann_sweep bench: exact vs two-stage retrieval
 #                        at 10^3/10^5/10^6 items — asserts recall@10 >=
 #                        0.95 at 10^5 and 10^6 items and two-stage >= 10x
 #                        faster than exact at 10^6 (artifact in
 #                        BENCH_ann.json)
-#  12. fusion floors     the fuse_sweep bench: fused fast path (epilogues
-#                        + recorded step plans + hashed dropout) vs the
-#                        unfused eager SIMD baseline — asserts train step
-#                        >= 1.25x and zero graph nodes allocated per plan
-#                        replay (artifact in BENCH_fuse.json)
-#  13. serving floors    the load_sweep bench: the slime-serve daemon
+#  13. fusion floors     the fuse_sweep bench: fused fast path (epilogues
+#                        + hashed dropout) vs the unfused SIMD baseline,
+#                        both re-tracing every step — asserts train step
+#                        >= 1.25x (artifact in BENCH_fuse.json)
+#  14. serving floors    the load_sweep bench: the slime-serve daemon
 #                        under an 8-client closed-loop A/B plus an
 #                        open-loop latency sweep — asserts batched >=
 #                        1.05x unbatched QPS, zero transport/engine
 #                        errors, and batch occupancy > 1 (artifact in
 #                        BENCH_serve.json)
-#  14. report round-trip a 4-thread traced training run, then
+#  15. report round-trip a 4-thread traced training run, then
 #                        `slime report` over the run dir (asserting >= 2
 #                        worker lanes left timeline slices and that
 #                        report.json / timeline.json parse — the report
 #                        command self-checks both) and a `--baseline`
 #                        self-diff that must report zero regressions
-#  15. daemon smoke      `slime4rec serve --smoke` against the step-14
+#  16. daemon smoke      `slime4rec serve --smoke` against the step-15
 #                        trained model: 64 requests from 4 concurrent
 #                        clients through the real TCP daemon — the CLI
 #                        exits nonzero unless every request succeeds and
@@ -89,6 +94,12 @@ SLIME_SIMD=0 cargo test -q
 
 echo "==> SLIME_FUSE=0 cargo test -q"
 SLIME_FUSE=0 cargo test -q
+
+for round in 1 2 3; do
+    echo "==> flake guard $round/3: counter-reading crates at --test-threads=4"
+    cargo test -q -p slime-tensor -p slime-par -p slime-fft -p slime4rec -p slime-serve \
+        --lib --tests -- --test-threads=4
+done
 
 # The determinism test internally sweeps thread counts, pool modes, SIMD
 # backends, and the fuse gate, but the *ambient* environment each sweep
